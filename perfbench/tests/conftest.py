@@ -1,0 +1,11 @@
+"""Put the checkout root and its ``src`` on the import path, as
+``perfbench/run.py`` does, so the tests import ``perfbench`` and
+``repro`` without an install."""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+for entry in (str(ROOT / "src"), str(ROOT)):
+    if entry not in sys.path:
+        sys.path.insert(0, entry)
